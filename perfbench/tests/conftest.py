@@ -1,0 +1,9 @@
+"""Make the benchmark's modules and the program importable for its tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+BENCH = HERE.parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
