@@ -2,11 +2,13 @@
 
 The GCN serving hot path multiplies the same ``Â`` against dense features
 every layer of every forward pass; the :mod:`repro.runtime` plan/execute
-split amortises the schedule construction (level grouping, branch
-decomposition, scaled operand, SciPy handle, diagonal tables) across all
-of them.  This benchmark measures the gap on a GCN-shaped workload
-(2 layers × many forwards) and records it in ``BENCH_PR1.json`` so the
-perf trajectory accumulates across PRs.
+split amortises the schedule construction (level grouping, scaled
+operand, SciPy handle, diagonal tables) across all of them.  This
+benchmark measures the gap on a GCN-shaped workload (2 layers × many
+forwards) and records it in ``BENCH_PR1.json`` so the perf trajectory
+accumulates across PRs.  "Unplanned" means one ``KernelPlan`` build plus
+one execute per product (``unplanned_s``); "planned" reuses the matrix's
+cached plan.
 
 Run standalone::
 
@@ -28,6 +30,7 @@ from repro.core.cbm import CBMMatrix
 from repro.gnn.adjacency import CBMAdjacency, CSRAdjacency, make_operator
 from repro.gnn.gcn import two_layer_gcn_inference
 from repro.graphs.datasets import load_dataset
+from repro.runtime.plan import KernelPlan
 from repro.utils.timing import measure
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,11 +41,11 @@ SMOKE = dict(dataset="Cora", alpha=2, p=32, hidden=16, classes=4, forwards=5)
 
 
 class UnplannedCBMAdjacency:
-    """CBM operator forced through the per-call reference path.
+    """CBM operator that builds a fresh plan for every product.
 
     Same matrix, same kernels — but the schedule (level grouping, diag
-    broadcast, SciPy wrapper) is recomputed on every product, which is
-    exactly what ``CBMMatrix.matmul`` did before the runtime split.
+    tables, SciPy handle) is rebuilt on every product, which is what
+    every call would pay without the cached plan.
     """
 
     def __init__(self, cbm: CBMMatrix):
@@ -53,7 +56,7 @@ class UnplannedCBMAdjacency:
         return self.cbm.n
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        return self.cbm.matmul_unplanned(x.astype(np.float32, copy=False))
+        return KernelPlan(self.cbm).execute(x.astype(np.float32, copy=False))
 
 
 def _weights(rng, p, hidden, classes):

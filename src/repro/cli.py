@@ -52,6 +52,7 @@ from repro.core.io import load_cbm, save_cbm
 from repro.graphs.datasets import REGISTRY, load_dataset, paper_stats
 from repro.graphs.stats import compute_stats
 from repro.parallel.simulate import predict_cbm_spmm, predict_csr_spmm
+from repro.runtime.plan import KernelPlan
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.io import load_matrix_market
 from repro.sparse.ops import spmm
@@ -185,8 +186,9 @@ def cmd_bench(args) -> int:
             print("  strict mode: fallbacks occurred -> exit 1")
             exit_code = 1
     if args.unplanned:
-        t_unp = measure(lambda: cbm.matmul_unplanned(x), max_repeats=args.repeats)
-        print(f"  CBM SpMM   {human_time(t_unp.mean)} +- {human_time(t_unp.std)} (unplanned)")
+        t_unp = measure(lambda: KernelPlan(cbm).execute(x), max_repeats=args.repeats)
+        print(f"  CBM SpMM   {human_time(t_unp.mean)} +- {human_time(t_unp.std)} "
+              "(plan built per call)")
         print(f"  plan amortisation: {t_unp.mean / t_cbm.mean:.2f}x")
     if args.graph in REGISTRY:
         ps = paper_stats(args.graph)
@@ -253,10 +255,10 @@ def cmd_plan(args) -> int:
     x = np.random.default_rng(0).random((a.shape[1], args.columns), dtype=np.float64)
     x = x.astype(np.float32)
     t_planned = _measure(lambda: cbm.matmul(x), max_repeats=args.repeats)
-    t_unplanned = _measure(lambda: cbm.matmul_unplanned(x), max_repeats=args.repeats)
+    t_per_call = _measure(lambda: KernelPlan(cbm).execute(x), max_repeats=args.repeats)
     print(f"  planned execute   {human_time(t_planned.mean)}")
-    print(f"  unplanned matmul  {human_time(t_unplanned.mean)} "
-          f"({t_unplanned.mean / t_planned.mean:.2f}x slower)")
+    print(f"  plan per call     {human_time(t_per_call.mean)} "
+          f"({t_per_call.mean / t_planned.mean:.2f}x slower)")
     return 0
 
 
@@ -1350,7 +1352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unplanned",
         action="store_true",
-        help="also time the per-call reference path (plan amortisation)",
+        help="also time a plan built per call (plan amortisation)",
     )
     p.add_argument(
         "--guarded",

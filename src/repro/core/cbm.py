@@ -1,4 +1,4 @@
-"""The Compressed Binary Matrix (CBM) — public container and kernels.
+"""The Compressed Binary Matrix (CBM) — public container.
 
 A :class:`CBMMatrix` holds a binary matrix ``A`` (or its column/row scaled
 forms ``AD`` / ``DAD``) as a compression tree plus a CSR delta matrix, and
@@ -13,6 +13,10 @@ multiplies with dense operands per Sections IV–V of the paper:
    above level k, so a level is dependency-free).  The per-edge variant is
    retained for the ablation benchmark, and the branch-parallel execution
    of Section V-B lives in :mod:`repro.parallel`.
+
+Both stages run in :class:`~repro.runtime.plan.KernelPlan`, the only
+definition of the kernels; :meth:`CBMMatrix.matmul` / :meth:`matvec`
+execute through a cached plan per (update, scaling) configuration.
 
 For ``DADX`` two update modes exist: ``"fused"`` follows Eq. 6 literally
 (scale while updating), ``"deferred"`` accumulates unscaled partial sums
@@ -31,12 +35,12 @@ import numpy as np
 
 from repro.core import opcount
 from repro.core.deltas import reconstruct_rows, scale_delta_matrix
-from repro.core.tree import VIRTUAL, CompressionTree
+from repro.core.tree import CompressionTree
 from repro.errors import ShapeError
 from repro.runtime.plan import KernelPlan
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import Engine, spmm, spmv
-from repro.utils.validation import check_dense, ensure_array
+from repro.sparse.ops import Engine
+from repro.utils.validation import ensure_array
 
 UpdateMode = Literal["level", "edge"]
 ScalingMode = Literal["deferred", "fused"]
@@ -222,31 +226,8 @@ class CBMMatrix:
         Executes through the cached :class:`KernelPlan` (plan once,
         execute per call).  ``out``, if given, receives the result and
         must be C-contiguous, correctly shaped, and must not alias ``b``.
-        :meth:`matmul_unplanned` is the per-call reference path.
         """
         return self.plan(update=update, scaling=scaling).execute(b, out=out, engine=engine)
-
-    def matmul_unplanned(
-        self,
-        b: np.ndarray,
-        *,
-        update: UpdateMode = "level",
-        scaling: ScalingMode = "deferred",
-        engine: Engine | None = None,
-    ) -> np.ndarray:
-        """Reference per-call path: recompute the schedule on every product.
-
-        This is the pre-runtime behaviour — the level grouping (or the
-        topological order) is derived from the tree per call and the
-        diagonal is re-broadcast per call.  The test suite compares the
-        planned path against it; the runtime benchmark measures the gap.
-        """
-        b = check_dense(b, name="b", ndim=2)
-        if b.shape[0] != self.shape[1]:
-            raise ShapeError.mismatch("CBM matmul", self.shape, b.shape)
-        c = spmm(self._multiply_operand(), b, engine=engine)
-        self._apply_update(c, update=update, scaling=scaling)
-        return c
 
     def matvec(
         self,
@@ -259,113 +240,11 @@ class CBMMatrix:
         """Dense product ``M @ v`` for a 1-D vector ``v`` (planned path)."""
         return self.plan(update=update, scaling=scaling).execute_vec(v, engine=engine)
 
-    def matvec_unplanned(
-        self,
-        v: np.ndarray,
-        *,
-        update: UpdateMode = "level",
-        scaling: ScalingMode = "deferred",
-        engine: Engine | None = None,
-    ) -> np.ndarray:
-        """Reference per-call ``M @ v``.
-
-        This is the paper's Section IV kernel in its native shape: one
-        sparse matrix–vector product with the delta matrix, then scalar
-        updates ``u_x += u_{r_x}`` down the compression tree (Eq. 5) —
-        no 2-D reshaping, no column dimension.
-        """
-        v = check_dense(v, name="v", ndim=1)
-        if v.shape[0] != self.shape[1]:
-            raise ShapeError.mismatch("CBM matvec", self.shape, v.shape)
-        u = spmv(self._multiply_operand(), v, engine=engine)
-        parent = self.tree.parent
-        row_scaled = self.variant in (Variant.DAD, Variant.D1AD2)
-        if update == "level":
-            if row_scaled and scaling == "fused":
-                d = self._row_diag()
-                roots = self.tree.roots
-                u[roots] *= d[roots]
-                for lv in self.tree.levels():
-                    ps = parent[lv]
-                    u[lv] = d[lv] * (u[ps] / d[ps] + u[lv])
-                return u
-            for lv in self.tree.levels():
-                u[lv] += u[parent[lv]]
-        elif update == "edge":
-            order = self.tree.topological_order()
-            if row_scaled and scaling == "fused":
-                d = self._row_diag()
-                for x in order:
-                    p = parent[x]
-                    if p == VIRTUAL:
-                        u[x] *= d[x]
-                    else:
-                        u[x] = d[x] * (u[p] / d[p] + u[x])
-                return u
-            for x in order:
-                p = parent[x]
-                if p != VIRTUAL:
-                    u[x] += u[p]
-        else:
-            raise ValueError(f"unknown update mode {update!r}")
-        if row_scaled:
-            u *= np.asarray(self._row_diag())
-        return u
-
     def __matmul__(self, b) -> np.ndarray:
         b = np.asarray(b)
         if b.ndim == 1:
             return self.matvec(b)
         return self.matmul(b)
-
-    # ------------------------------------------------------------------
-    def _apply_update(self, c: np.ndarray, *, update: UpdateMode, scaling: ScalingMode) -> None:
-        """Run the update stage in place on the multiplication-stage output."""
-        if update == "level":
-            self._update_levels(c, scaling)
-        elif update == "edge":
-            self._update_edges(c, scaling)
-        else:
-            raise ValueError(f"unknown update mode {update!r}")
-
-    def _update_levels(self, c: np.ndarray, scaling: ScalingMode) -> None:
-        """Vectorised level-schedule update, mutating ``c`` in place."""
-        parent = self.tree.parent
-        row_scaled = self.variant in (Variant.DAD, Variant.D1AD2)
-        if row_scaled and scaling == "fused":
-            d = self._row_diag()
-            roots = self.tree.roots
-            c[roots] *= d[roots, None]
-            for lv in self.tree.levels():
-                ps = parent[lv]
-                c[lv] = d[lv, None] * (c[ps] / d[ps, None] + c[lv])
-            return
-        for lv in self.tree.levels():
-            c[lv] += c[parent[lv]]
-        if row_scaled:
-            c *= np.asarray(self._row_diag())[:, None]
-
-    def _update_edges(self, c: np.ndarray, scaling: ScalingMode) -> None:
-        """Paper-literal update, in place on ``c``: one axpy per tree edge
-        in topological order."""
-        parent = self.tree.parent
-        row_scaled = self.variant in (Variant.DAD, Variant.D1AD2)
-        order = self.tree.topological_order()
-        if row_scaled and scaling == "fused":
-            d = self._row_diag()
-            for x in order:
-                p = parent[x]
-                if p == VIRTUAL:
-                    c[x] *= d[x]
-                else:
-                    c[x] = d[x] * (c[p] / d[p] + c[x])
-            return
-        for x in order:
-            p = parent[x]
-            if p != VIRTUAL:
-                c[x] += c[p]
-        if row_scaled:
-            c *= np.asarray(self._row_diag())[:, None]
 
     # ------------------------------------------------------------------
     def tocsr(self) -> CSRMatrix:

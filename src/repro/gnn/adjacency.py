@@ -27,7 +27,6 @@ from repro.core.builder import build_cbm
 from repro.core.cbm import CBMMatrix, Variant
 from repro.graphs.laplacian import gcn_normalization, normalized_adjacency
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import spmm
 
 
 @runtime_checkable
@@ -54,13 +53,18 @@ def prepare_operator(adj: AdjacencyOp, *, width: int | None = None, dtype=np.flo
 
 
 class CSRAdjacency:
-    """Baseline operator: Â held as one weighted CSR matrix."""
+    """Baseline operator: Â held as one weighted CSR matrix.
+
+    Products run in float32 like the CBM operator's, through one SciPy
+    handle holding a float32 copy of Â's values, so the baseline never
+    upcasts the features to float64.
+    """
 
     supports_out = True
 
     def __init__(self, a_hat: CSRMatrix):
         self.a_hat = a_hat
-        self._sp = None  # prebuilt SciPy handle (built by prepare/first matmul)
+        self._sp = None  # float32 SciPy handle (built by prepare/first matmul)
 
     @classmethod
     def from_graph(cls, a: CSRMatrix) -> "CSRAdjacency":
@@ -73,21 +77,19 @@ class CSRAdjacency:
         return self.a_hat.shape[0]
 
     def prepare(self, *, width: int | None = None, dtype=np.float32) -> None:
-        """Build the compiled-backend handle once (width/dtype unused)."""
+        """Build the float32 compiled-backend handle once (width/dtype unused)."""
         if self._sp is None:
             import scipy.sparse as sp
 
             m = self.a_hat
-            self._sp = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+            data = m.data.astype(np.float32)
+            self._sp = sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
 
     def matmul(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``Â @ x``; when ``out`` is given the product is written into
         it in place (must not alias ``x``)."""
         x = x.astype(np.float32, copy=False)
-        if self._sp is None:
-            if out is None:
-                return spmm(self.a_hat, x)
-            self.prepare()
+        self.prepare()
         c = np.asarray(self._sp @ x)
         if out is not None:
             if np.shares_memory(out, x):

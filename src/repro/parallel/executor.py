@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.cbm import CBMMatrix, Variant
+from repro.core.cbm import CBMMatrix
 from repro.core.tree import CompressionTree
 from repro.errors import ParallelError, WatchdogTimeout
 from repro.sparse.ops import Engine
@@ -112,18 +112,17 @@ class ThreadedUpdateExecutor:
         self,
         tree: CompressionTree,
         c: np.ndarray,
-        diag: np.ndarray | None = None,
         *,
         branches: list[np.ndarray] | None = None,
         deadline: float | None = None,
     ) -> None:
         """Apply the update stage to ``c`` in place, branch-parallel.
 
-        ``diag`` enables the DAD row scaling (deferred mode: scaling is
-        fused into the branch replay's final pass per row batch).
-        ``branches`` lets callers reuse a precomputed branch decomposition
-        (e.g. from a :class:`~repro.runtime.plan.KernelPlan`) instead of
-        re-deriving it from the tree per call.  ``deadline`` is an
+        Only the tree walk runs here; row scaling is the caller's (see
+        :func:`parallel_matmul`).  ``branches`` lets callers reuse a
+        precomputed branch decomposition (e.g. from a
+        :class:`~repro.runtime.plan.KernelPlan`) instead of re-deriving it
+        from the tree per call.  ``deadline`` is an
         absolute :func:`time.monotonic` instant: once it passes, the whole
         run is cancelled the same way a branch stall is — ``branch_timeout``
         bounds one branch, ``deadline`` bounds the request (the serving
@@ -205,8 +204,6 @@ class ThreadedUpdateExecutor:
                 f"update-stage worker failed: {errors[0]!r}; output buffer "
                 f"{disposition}"
             ) from errors[0]
-        if diag is not None:
-            c *= np.asarray(diag)[:, None]
 
     def _join_with_watchdog(
         self,
@@ -285,10 +282,11 @@ def parallel_matmul(
 
     Multiplication stage runs on the compiled backend (internally
     parallel, as MKL is in the paper); the update stage runs on a
-    :class:`ThreadedUpdateExecutor`.  The branch decomposition and the
-    scaled operand come from the matrix's cached
-    :class:`~repro.runtime.plan.KernelPlan` (pass ``plan`` to share an
-    explicit one), so repeated calls pay no per-call schedule cost.
+    :class:`ThreadedUpdateExecutor`.  The scaled operand, the tree, the
+    branch decomposition and the deferred row scale all come from the
+    matrix's cached :class:`~repro.runtime.plan.KernelPlan` (pass ``plan``
+    to share an explicit one, which must use deferred scaling), so
+    repeated calls pay no per-call schedule cost.
 
     ``branch_timeout`` / ``deadline`` / ``on_failure`` are forwarded to
     the executor's watchdog (see :class:`ThreadedUpdateExecutor`);
@@ -298,9 +296,12 @@ def parallel_matmul(
     b = check_dense(b, name="b", ndim=2)
     if plan is None:
         plan = cbm.plan()
+    if plan.row_scaled and plan.row_scale is None:
+        raise ValueError("parallel_matmul needs a plan with deferred scaling")
     c = plan.multiply(b, engine=engine)
     factory = executor_factory if executor_factory is not None else ThreadedUpdateExecutor
     executor = factory(threads, branch_timeout=branch_timeout, on_failure=on_failure)
-    diag = cbm.diag if cbm.variant is Variant.DAD else None
-    executor.run_update(cbm.tree, c, diag, branches=plan.branches, deadline=deadline)
+    executor.run_update(plan._tree, c, branches=plan.branches, deadline=deadline)
+    if plan.row_scale is not None:
+        c *= plan._cast_row_scale(c.dtype)[:, None]
     return c

@@ -16,13 +16,14 @@ surface as a *silently wrong* product.  :class:`GuardedKernel` wraps
    CBM result;
 3. **graceful degradation** — any :class:`~repro.errors.ReproError`
    from the fast path (worker death, watchdog trip, corrupted
-   tree/deltas, NaN blow-up) triggers a fallback chain: the per-call
-   reference path ``matmul_unplanned``, then the CSR reference product
-   ``a @ x`` against the ``source`` matrix if one was provided.  Each
-   fallback is validated the same way, emits a structured
-   :class:`FallbackWarning`, and bumps the :class:`GuardStats` counter,
-   so callers always receive a *correct* result or a typed error —
-   never a quietly wrong buffer.
+   tree/deltas, NaN blow-up) triggers a fallback chain: a freshly built
+   :class:`~repro.runtime.plan.KernelPlan` (schedule re-derived from the
+   current tree, nothing reused from the cached plan), then the CSR
+   reference product ``a @ x`` against the ``source`` matrix if one was
+   provided.  Each fallback is validated the same way, emits a
+   structured :class:`FallbackWarning`, and bumps the
+   :class:`GuardStats` counter, so callers always receive a *correct*
+   result or a typed error — never a quietly wrong buffer.
 
 ``strict=True`` flips the policy: the first failure re-raises instead
 of degrading (serving deployments that prefer fail-fast over fail-soft).
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.core.cbm import CBMMatrix
 from repro.errors import NumericalError, ReproError, ShapeError
+from repro.runtime.plan import KernelPlan
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import Engine, spmm, spmv
 from repro.utils.validation import all_finite, check_dense
@@ -262,7 +264,12 @@ class GuardedKernel:
     def matmul(
         self, b: np.ndarray, *, out: np.ndarray | None = None, engine: Engine | None = None
     ) -> np.ndarray:
-        """Guarded ``M @ b`` for a dense 2-D operand ``b``."""
+        """Guarded ``M @ b`` for a dense 2-D operand ``b``.
+
+        When ``out`` is given the product is written into it in place
+        and ``out`` is returned, on the serial, threaded and fallback
+        paths alike.
+        """
         b = check_dense(b, name="b", ndim=2)
         if b.shape[0] != self.shape[1]:
             raise ShapeError.mismatch("guarded matmul", self.shape, b.shape)
@@ -280,6 +287,9 @@ class GuardedKernel:
                     deadline=self.deadline,
                     executor_factory=self.executor_factory,
                 )
+                if out is not None:
+                    out[...] = c
+                    c = out
             else:
                 c = self._get_plan().execute(b, out=out, engine=engine)
             self._check_output(c, (b.shape[1],))
@@ -352,7 +362,7 @@ class GuardedKernel:
     ) -> np.ndarray:
         """Degraded product after a fast-path failure.
 
-        Tries the unplanned CBM path, then the CSR reference; when the
+        Tries a freshly built CBM plan, then the CSR reference; when the
         caller supplied ``out``, the recovered product is copied into it
         in place (the fast path may have left it invalidated).
         """
@@ -360,7 +370,7 @@ class GuardedKernel:
         self._degrade(exc)
         c: np.ndarray | None = None
         try:
-            c = self.cbm.matmul_unplanned(b, update=self.update, scaling=self.scaling)
+            c = KernelPlan(self.cbm, update=self.update, scaling=self.scaling).execute(b)
             if self.validate_outputs and not all_finite(c):
                 c = None
         except ReproError:
@@ -386,7 +396,7 @@ class GuardedKernel:
         self._degrade(exc)
         u: np.ndarray | None = None
         try:
-            u = self.cbm.matvec_unplanned(v, update=self.update, scaling=self.scaling)
+            u = KernelPlan(self.cbm, update=self.update, scaling=self.scaling).execute_vec(v)
             if self.validate_outputs and not all_finite(u):
                 u = None
         except ReproError:

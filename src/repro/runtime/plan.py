@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.deltas import scale_delta_matrix
 from repro.core.tree import VIRTUAL
 from repro.errors import ShapeError
 from repro.runtime.buffers import WorkspacePool
@@ -151,13 +150,7 @@ class KernelPlan:
         d = cbm._row_diag() if self.row_scaled else None
 
         # --- multiplication stage -------------------------------------
-        if cbm.variant is Variant.A:
-            self.operand: CSRMatrix = cbm.delta
-        else:
-            # Reuse (and populate) the owner's cached scaled delta.
-            if cbm._scaled_delta is None:
-                cbm._scaled_delta = scale_delta_matrix(cbm.delta, cbm.diag)
-            self.operand = cbm._scaled_delta
+        self.operand: CSRMatrix = cbm._multiply_operand()
         self._sp = None  # prebuilt scipy.sparse handle, built on first use
         self._sp_lock = threading.Lock()
 
@@ -297,7 +290,7 @@ class KernelPlan:
         """Update stage + scaling, in place, from the precomputed schedule."""
         if self.update == "edge":
             expand = (slice(None), None) if c.ndim == 2 else ()
-            self._apply_update_edges(c, expand)
+            self._apply_edge_schedule(c, expand)
         elif self.row_scaled and self.scaling == "fused":
             apply_level_schedule(
                 c,
@@ -313,7 +306,7 @@ class KernelPlan:
                 row_scale=self._cast_row_scale(c.dtype) if self.row_scaled else None,
             )
 
-    def _apply_update_edges(self, c: np.ndarray, expand) -> None:
+    def _apply_edge_schedule(self, c: np.ndarray, expand) -> None:
         """Edge-schedule update + scaling, in place on ``c``."""
         parent = self._parent
         if self.row_scaled and self.scaling == "fused":

@@ -320,6 +320,15 @@ class TestGuardedKernel:
         assert guard.stats.calls == 1
         assert guard.stats.fallbacks == 0
 
+    def test_threaded_path_writes_into_out(self):
+        a, cbm, x, ref = _guarded_setup(n=40)
+        guard = GuardedKernel(cbm, source=a, threads=2)
+        out = np.full((cbm.shape[0], x.shape[1]), np.nan, dtype=np.float32)
+        got = guard.matmul(x, out=out)
+        assert got is out
+        np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-4)
+        assert guard.stats.fallbacks == 0
+
     def test_nan_input_raises_typed_error(self):
         a, cbm, x, _ = _guarded_setup()
         guard = GuardedKernel(cbm, source=a)

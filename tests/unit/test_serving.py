@@ -629,7 +629,7 @@ class TestConcurrentExecutorContention:
             c = plan.multiply(x)
             start.wait()
             try:
-                executor.run_update(cbm.tree, c, None, branches=plan.branches,
+                executor.run_update(cbm.tree, c, branches=plan.branches,
                                     deadline=deadline)
                 result = ("ok", c)
             except (ParallelError, WatchdogTimeout) as exc:
@@ -684,7 +684,7 @@ class TestConcurrentExecutorContention:
         c = plan.multiply(x)
         t0 = time.monotonic()
         with pytest.raises(WatchdogTimeout, match="deadline"):
-            executor.run_update(cbm.tree, c, None, branches=plan.branches,
+            executor.run_update(cbm.tree, c, branches=plan.branches,
                                 deadline=time.monotonic() + 0.2)
         assert time.monotonic() - t0 < 5.0  # cancelled, not stalled out
         assert np.isnan(c).all()
